@@ -131,7 +131,7 @@ type campus struct {
 	stalls  int64
 	blocked time.Duration
 	late    []time.Duration
-	leavesS float64
+	leaves  float64
 }
 
 func runCampus(b *bench) error {
@@ -287,7 +287,7 @@ func (r *campus) checks() (*octocache.Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.leavesS = float64(snap.NumLeaves())
+	r.leaves = float64(snap.NumLeaves())
 	b.checkLeaves(snap.Walk, p, endpointSet(b.scans, len(b.scans), p))
 	b.checkLastScan(func(k octocache.Key) bool {
 		_, known := snap.OccupancyKey(k)
@@ -361,7 +361,7 @@ func (r *campus) layers(ref *octocache.Map) error {
 	if len(r.late) > 0 {
 		b.set("client.query_late_ms", ms(late)/float64(len(r.late)))
 	}
-	b.set("client.snapshot_leaves_per_s", r.leavesS/median(b.plain.snapshot).Seconds())
+	b.set("client.snapshot_leaves_per_s", r.leaves/median(b.plain.snapshot).Seconds())
 
 	// The wire's share of a query: a one-point OccupiedBatch round trip on
 	// the idle tenant minus the same lookup in process.
