@@ -208,11 +208,14 @@ func runInproc(b *bench) error {
 	return nil
 }
 
-// moreSetups adds set-up samples until there are at least fifteen, so
+// setups is how many set-up samples setup_s is the median of.
+const setups = 41
+
+// moreSetups adds set-up samples until there are setups of them, so
 // that setup_s is a median of repeated set-ups rather than one short
 // timing. start performs one set-up and returns its teardown.
 func (b *bench) moreSetups(start func(k int) (func() error, error)) error {
-	for k := 0; len(b.plain.setup) < 15; k++ {
+	for k := 0; len(b.plain.setup) < setups; k++ {
 		runtime.GC()
 		t0 := time.Now()
 		stop, err := start(k)

@@ -20,10 +20,14 @@ import (
 type workload struct {
 	name  string
 	scans int // scans per round at size 1
-	fan   int // rays per planner fan
-	spec  func(seed int64, scans int) dataset.Spec
-	opts  octocache.Options
-	run   func(*bench) error
+	// fan is the rays per planner fan. In process a fan runs right after
+	// Insert, with cold caches: a sparse fan is mostly the misses of its
+	// first rays, whose cost swings with the shared host, so in-process
+	// fans are dense enough to be mostly ray work.
+	fan  int
+	spec func(seed int64, scans int) dataset.Spec
+	opts octocache.Options
+	run  func(*bench) error
 }
 
 // Each workload replays one fixed scene, like a recorded dataset; the
@@ -33,7 +37,7 @@ var workloads = map[string]workload{
 	"corridor-nav": {
 		name:  "corridor-nav",
 		scans: 400,
-		fan:   16,
+		fan:   64,
 		run:   runInproc,
 		spec: func(seed int64, n int) dataset.Spec {
 			j := jitter(seed)
@@ -77,7 +81,7 @@ var workloads = map[string]workload{
 	"newcollege-durable": {
 		name:  "newcollege-durable",
 		scans: 160,
-		fan:   16,
+		fan:   64,
 		run:   runInproc,
 		spec: func(seed int64, n int) dataset.Spec {
 			j := jitter(seed)
